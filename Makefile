@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzKernels -fuzztime $(FUZZTIME) ./internal/raid
 	$(GO) test -run '^$$' -fuzz FuzzEncodeReconstruct -fuzztime $(FUZZTIME) ./internal/raid
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzDecoyFrame -fuzztime $(FUZZTIME) ./internal/transport
 
 # Data-plane benchmarks: RAID kernels and distributor read path, three
 # interleaved repetitions, summarized to $(BENCHOUT) with speedups over

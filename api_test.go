@@ -197,7 +197,7 @@ func TestSystemStreaming(t *testing.T) {
 		t.Fatalf("GetFile interop: %v", err)
 	}
 	m := sys.Metrics()
-	if m.StreamUploads != 1 || m.StreamReads != 1 {
+	if m.Uploads != 1 || m.StreamReads != 1 {
 		t.Fatalf("stream counters: %+v", m)
 	}
 	if _, err := sys.UploadFrom("acme", "s3cret", "big.dat", bytes.NewReader(data), High, UploadOptions{}); !errors.Is(err, ErrExists) {

@@ -8,10 +8,8 @@ import "sync/atomic"
 type OpMetrics struct {
 	Uploads   int64
 	FileReads int64
-	// StreamUploads / StreamReads count the transfers that went through
-	// the streaming pipeline (UploadStream / GetFileTo); they are also
-	// included in Uploads / FileReads.
-	StreamUploads    int64
+	// StreamReads counts the whole-file reads that went through the
+	// streaming pipeline (GetFileTo); they are also included in FileReads.
 	StreamReads      int64
 	ChunkReads       int64
 	RangeReads       int64
@@ -43,7 +41,7 @@ type OpMetrics struct {
 // opCounters is the internal atomic representation.
 type opCounters struct {
 	uploads, fileReads, chunkReads, rangeReads, updates, removes atomic.Int64
-	streamUploads, streamReads                                   atomic.Int64
+	streamReads                                                  atomic.Int64
 	primaryHits, mirrorHits, reconstructions, transientRetries   atomic.Int64
 	writeFailovers, rollbackDeletes                              atomic.Int64
 	hedgedReads, hedgeWins, corruptionsDetected                  atomic.Int64
@@ -55,7 +53,6 @@ func (d *Distributor) Metrics() OpMetrics {
 	return OpMetrics{
 		Uploads:             d.counters.uploads.Load(),
 		FileReads:           d.counters.fileReads.Load(),
-		StreamUploads:       d.counters.streamUploads.Load(),
 		StreamReads:         d.counters.streamReads.Load(),
 		ChunkReads:          d.counters.chunkReads.Load(),
 		RangeReads:          d.counters.rangeReads.Load(),

@@ -11,13 +11,12 @@ import (
 	"repro/internal/raid"
 )
 
-// This file is the streaming data plane: UploadStream and GetFileTo move
-// a file through the distributor stripe-by-stripe behind an io.Reader /
-// io.Writer, holding at most Config.StreamWindow stripes of payload in
-// memory at once. The byte-slice entry points (Upload, GetFile) remain
-// the whole-buffer fast path for small objects; these are the large-blob
-// path where materializing the file would evict the chunk cache and
-// starve the bufpool.
+// This file is the distributor's data plane for whole files: UploadStream
+// is the one write pipeline (Upload is UploadStream over a bytes.Reader)
+// and GetFileTo the streamed read. Both move a file stripe-by-stripe
+// behind an io.Reader / io.Writer, holding at most Config.StreamWindow
+// stripes of payload in memory at once, so a large object never
+// evicts the chunk cache or starves the bufpool.
 
 // stripeJob is one stripe of a streaming upload flowing from the planner
 // to a ship worker: the staged shards plus the metadata rows they patch
@@ -72,8 +71,7 @@ func readStripe(r io.Reader, chunkSize, width int, first bool) ([][]byte, int, e
 // planStreamStripe stages one stripe of a streaming upload under d.mu:
 // payload preparation (the mislead RNG and the encryption nonce are
 // lock-guarded), placement, virtual-id allocation, parity and ticket
-// staging — the same plan phase Upload runs for the whole file, scoped
-// to one stripe. datas are the stripe's raw chunk buffers (ownership
+// staging, scoped to one stripe. datas are the stripe's raw chunk buffers (ownership
 // moves into the returned job); baseSerial numbers the first chunk.
 func (d *Distributor) planStreamStripe(t *writeTicket, client, filename string, pl privacy.Level, level raid.Level, encKey []byte, opts UploadOptions, datas [][]byte, baseSerial int) (*stripeJob, error) {
 	parity := level.ParityShards()
@@ -204,16 +202,22 @@ func (d *Distributor) planStreamStripe(t *writeTicket, client, filename string, 
 	return job, nil
 }
 
-// UploadStream is Upload behind an io.Reader: it chunks, misleads (or
-// encrypts), stripes and ships the file stripe-by-stripe as bytes
-// arrive, holding at most Config.StreamWindow stripes of payload in
-// flight — peak distributor memory for the request is O(window × stripe
-// size) regardless of file size. The plan→ship→commit protocol is
-// unchanged: every stripe stages on one write ticket, the filename is
-// reserved for the whole transfer, the WAL commit record lands before
-// anything becomes visible, and any failure (read error, placement,
-// provider exhaustion, log append) rolls back every blob already stored
-// — a crashed or aborted stream leaves no orphans and no partial file.
+// UploadStream receives a file from r, fragments it according to the
+// file's privacy level, misleads (or encrypts), stripes and ships it
+// stripe-by-stripe as bytes arrive, holding at most Config.StreamWindow
+// stripes of payload in flight — peak distributor memory for the
+// request is O(window × stripe size) regardless of file size.
+//
+// The write runs plan→ship→commit. Plan (under d.mu, once per stripe):
+// payloads, placement and virtual ids are staged on one write ticket
+// that references nothing live; the filename is reserved for the whole
+// transfer, so a concurrent identical upload fails fast with ErrExists.
+// Ship (no lock): shards go out with bounded fan-out and per-shard
+// failover, so one slow provider delays only this upload. Commit (under
+// d.mu): the WAL commit record lands before the staged rows are rebased
+// onto the live tables. Any failure (read error, placement, provider
+// exhaustion, log append) rolls back every blob already stored — a
+// crashed or aborted upload leaves no orphans and no partial file.
 func (d *Distributor) UploadStream(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (FileInfo, error) {
 	level, err := d.validateUpload(filename, pl, opts)
 	if err != nil {
@@ -347,8 +351,7 @@ func (d *Distributor) UploadStream(client, password, filename string, r io.Reade
 	}
 
 	// ---- Commit: assemble the per-stripe rows in stream order, rebase
-	// them onto the live tables and log before anything becomes visible —
-	// byte-identical semantics to Upload's commit.
+	// them onto the live tables and log before anything becomes visible.
 	nChunks := serial
 	fe := &fileEntry{Filename: filename, PL: pl, FID: fid, Raid: level, ChunkIdx: make([]int, nChunks)}
 	newChunks := make([]chunkEntry, 0, nChunks)
@@ -407,7 +410,6 @@ func (d *Distributor) UploadStream(client, password, filename string, r io.Reade
 	c.Gen++
 	d.gen++
 	d.counters.uploads.Add(1)
-	d.counters.streamUploads.Add(1)
 	d.maybeCheckpointLocked()
 	d.mu.Unlock()
 

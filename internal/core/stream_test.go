@@ -217,8 +217,8 @@ func TestUploadStreamRoundTrip(t *testing.T) {
 		}
 	}
 	m := d.Metrics()
-	if m.StreamUploads != int64(len(sizes)) || m.Uploads != int64(len(sizes)) {
-		t.Fatalf("stream uploads %d / uploads %d, want %d", m.StreamUploads, m.Uploads, len(sizes))
+	if m.Uploads != int64(len(sizes)) {
+		t.Fatalf("uploads %d, want %d", m.Uploads, len(sizes))
 	}
 	if m.StreamReads != int64(len(sizes)) {
 		t.Fatalf("stream reads %d, want %d", m.StreamReads, len(sizes))

@@ -143,7 +143,7 @@ const (
 
 // Run stands up the cell's deployment, drives the tenant workload, and
 // mounts every attack. Deterministic given (Seed, Cell): serial driver,
-// Parallelism 1, instant providers, hedging enabled but clamped far
+// Parallelism 1, StreamWindow 1, instant providers, hedging enabled but clamped far
 // above loopback latency, and logical-epoch timing stamps.
 func Run(cfg Config) (*Result, error) {
 	cell := cfg.Cell
@@ -173,6 +173,7 @@ func Run(cfg Config) (*Result, error) {
 			c.Secret = []byte(fmt.Sprintf("minecheck-%d-%d", cfg.Seed, shard))
 			c.MisleadSeed = cfg.Seed + int64(shard)
 			c.Parallelism = 1
+			c.StreamWindow = 1
 			if cell.Cache {
 				c.CacheBytes = 4 << 20
 			}

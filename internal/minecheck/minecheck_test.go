@@ -186,6 +186,7 @@ func TestTimingInvariance(t *testing.T) {
 		Distributor: func(_ int, c *core.Config) {
 			c.Secret = []byte("timing-invariance")
 			c.Parallelism = 1
+			c.StreamWindow = 1
 			c.CacheBytes = 4 << 20
 			c.HedgeAfter = 5 * time.Second
 		},

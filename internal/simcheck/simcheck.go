@@ -124,7 +124,6 @@ type Result struct {
 
 	UploadsAttempted int
 	UploadsOK        int
-	StreamUploads    int // uploads driven through UploadStream (io.Reader path)
 	ReadsAttempted   int
 	ReadsOK          int
 	StreamReads      int // whole-file reads driven through GetFileTo (io.Writer path)
@@ -449,23 +448,9 @@ func (r *runner) opUpload(i int) {
 		opts.Replicas = 1
 	}
 	r.res.UploadsAttempted++
-	// Half the uploads take the streaming path (UploadStream over an
-	// io.Reader, window 1), so every fault schedule also exercises the
-	// windowed plan→ship→commit pipeline and its rollback.
-	var (
-		fi   core.FileInfo
-		err  error
-		verb = "upload"
-	)
-	if r.rng.Intn(2) == 0 {
-		verb = "ustream"
-		r.res.StreamUploads++
-		fi, err = r.d.UploadStream(client, password, name, bytes.NewReader(data), pl, opts)
-	} else {
-		fi, err = r.d.Upload(client, password, name, data, pl, opts)
-	}
-	r.tr.addf("op=%d %s c=%s f=%s pl=%d size=%d raid=%v np=%v ml=%.2f rep=%d -> %s",
-		i, verb, client, name, pl, len(data), opts.Assurance, opts.NoParity, opts.MisleadFraction, opts.Replicas, errClass(err))
+	fi, err := r.d.Upload(client, password, name, data, pl, opts)
+	r.tr.addf("op=%d upload c=%s f=%s pl=%d size=%d raid=%v np=%v ml=%.2f rep=%d -> %s",
+		i, client, name, pl, len(data), opts.Assurance, opts.NoParity, opts.MisleadFraction, opts.Replicas, errClass(err))
 	if err == nil {
 		r.res.UploadsOK++
 		r.m.addFile(client, name, data, pl, fi.Raid)

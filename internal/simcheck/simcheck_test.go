@@ -83,9 +83,8 @@ func TestSimCheck(t *testing.T) {
 			if res.UploadsOK == 0 {
 				t.Fatalf("seed %d: no upload ever succeeded (%d attempted)", s, res.UploadsAttempted)
 			}
-			if res.StreamUploads == 0 || res.StreamReads == 0 {
-				t.Fatalf("seed %d: streaming paths unexercised (ustream=%d getfileto=%d)",
-					s, res.StreamUploads, res.StreamReads)
+			if res.StreamReads == 0 {
+				t.Fatalf("seed %d: streamed read path unexercised", s)
 			}
 			if res.Checkpoints == 0 {
 				t.Fatalf("seed %d: no checkpoint ran", s)

@@ -8,12 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/privacy"
-	"repro/internal/raid"
 )
 
 // Client is a Go client for a DistributorServer — what an application
@@ -70,18 +71,11 @@ func statusToCoreError(status int, msg string) error {
 		return fmt.Errorf("%w: %s", core.ErrUnavailable, msg)
 	case http.StatusBadRequest:
 		return fmt.Errorf("%w: %s", core.ErrConfig, msg)
+	case http.StatusRequestEntityTooLarge:
+		return fmt.Errorf("%w: %s", ErrOversizeRequest, msg)
 	default:
 		return fmt.Errorf("transport: distributor status %d: %s", status, msg)
 	}
-}
-
-// post sends a JSON body once and returns the raw response payload.
-func (c *Client) post(path string, req any) ([]byte, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	return c.postOnce(path, body)
 }
 
 // ErrOversizeResponse marks a response body that reached the transfer
@@ -90,6 +84,10 @@ func (c *Client) post(path string, req any) ([]byte, error) {
 // surfaced later as an inexplicable length or checksum mismatch far
 // from the cause.
 var ErrOversizeResponse = errors.New("transport: response exceeds size limit")
+
+// ErrOversizeRequest marks a request body the server refused (413)
+// because it ran past the server's cap for that body.
+var ErrOversizeRequest = errors.New("transport: request exceeds size limit")
 
 // maxRespRead bounds how much of a distributor response body the client
 // will accept. It is a variable (normally maxBlobBytes) only so tests
@@ -112,8 +110,11 @@ func isNetworkError(err error) bool {
 	return errors.As(err, &ne)
 }
 
-func (c *Client) postOnce(path string, body []byte) ([]byte, error) {
-	resp, err := c.http.Post(c.base+path, "application/json", bytes.NewReader(body))
+// roundTrip sends req once and returns the response body, capped at
+// maxRespRead.
+func (c *Client) roundTrip(req *http.Request) ([]byte, error) {
+	path := req.URL.Path
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, &netError{fmt.Errorf("transport: %s: %w", path, err)}
 	}
@@ -136,18 +137,12 @@ func (c *Client) postOnce(path string, body []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// postIdempotent is post with network-error retry, for read-only
-// endpoints where replaying the request cannot double-apply anything.
-// A fresh reader is built per attempt, so partially consumed bodies
-// never poison a retry.
-func (c *Client) postIdempotent(path string, req any) ([]byte, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	var payload []byte
+// get sends a bodiless GET, retrying transport failures — including a
+// response that died mid-body — with jittered backoff: a read replays
+// safely. Server statuses are answers, never retried.
+func (c *Client) get(req *http.Request) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
-		payload, err = c.postOnce(path, body)
+		payload, err := c.roundTrip(req)
 		if err == nil || !isNetworkError(err) || attempt >= netRetries-1 {
 			return payload, err
 		}
@@ -155,39 +150,54 @@ func (c *Client) postIdempotent(path string, req any) ([]byte, error) {
 	}
 }
 
-func (c *Client) getJSON(path string, v any) error {
-	var lastErr error
-	for attempt := 0; attempt < netRetries; attempt++ {
-		if attempt > 0 {
-			c.retry.sleep(c.retry.backoff(attempt - 1))
-		}
-		resp, err := c.http.Get(c.base + path)
-		if err != nil {
-			lastErr = &netError{fmt.Errorf("transport: %s: %w", path, err)}
-			continue
-		}
-		payload, err := io.ReadAll(io.LimitReader(resp.Body, maxRespRead+1))
-		resp.Body.Close()
-		if err != nil {
-			// Mid-body transport failure. These GETs are read-only, so
-			// replaying the request is exactly as safe as retrying one
-			// that never connected — previously this returned the decode
-			// error immediately and wasted the remaining attempts.
-			lastErr = &netError{fmt.Errorf("transport: %s: %w", path, err)}
-			continue
-		}
-		if int64(len(payload)) > maxRespRead {
-			return fmt.Errorf("%w: %s: body larger than %d bytes", ErrOversizeResponse, path, maxRespRead)
-		}
-		if resp.StatusCode != http.StatusOK {
-			if len(payload) > 512 {
-				payload = payload[:512]
-			}
-			return statusToCoreError(resp.StatusCode, string(payload))
-		}
-		return json.Unmarshal(payload, v)
+// post sends a JSON control-plane body once and returns the response.
+func (c *Client) post(path string, v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
 	}
-	return lastErr
+	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return c.roundTrip(req)
+}
+
+func (c *Client) getJSON(path string, v any) error {
+	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return err
+	}
+	payload, err := c.get(req)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(payload, v)
+}
+
+// read fetches a per-file GET route, retried like every read.
+func (c *Client) read(path, client, password, filename string, q url.Values) ([]byte, error) {
+	req, err := c.fileRequest(http.MethodGet, path, client, password, filename, q, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.get(req)
+}
+
+// mutate sends a per-file POST exactly once.
+func (c *Client) mutate(path, client, password, filename string, q url.Values, body io.Reader) error {
+	req, err := c.fileRequest(http.MethodPost, path, client, password, filename, q, body)
+	if err != nil {
+		return err
+	}
+	_, err = c.roundTrip(req)
+	return err
+}
+
+// serialQuery is the query of the chunk-addressed routes.
+func serialQuery(serial int) url.Values {
+	return url.Values{"serial": {strconv.Itoa(serial)}}
 }
 
 // RegisterClient creates a client account on the distributor.
@@ -202,77 +212,50 @@ func (c *Client) AddPassword(client, password string, pl privacy.Level) error {
 	return err
 }
 
-// UploadOptions mirrors core.UploadOptions for the wire.
-type UploadOptions struct {
-	Assurance       raid.Level
-	NoParity        bool
-	MisleadFraction float64
-	// MisleadLines supplies whole decoy records to blend into the
-	// chunks instead of byte-level decoys — the knob line-oriented
-	// files use so decoys parse like real records and poison mining
-	// (core.UploadOptions.MisleadLines, carried over the wire).
-	MisleadLines [][]byte
-	Replicas     int
-	EncryptKey   []byte
-}
+// UploadOptions is the distributor's per-upload knobs; every field
+// travels on the wire.
+type UploadOptions = core.UploadOptions
 
-// Upload ships a file to the distributor.
+// Upload ships a file to the distributor: UploadFrom over the buffer.
 func (c *Client) Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (core.FileInfo, error) {
-	payload, err := c.post("/v1/upload", uploadReq{
-		Client: client, Password: password, Filename: filename,
-		PL: int(pl), Data: data,
-		Assurance: int(opts.Assurance), NoParity: opts.NoParity,
-		MisleadFraction: opts.MisleadFraction,
-		MisleadLines:    opts.MisleadLines,
-		Replicas:        opts.Replicas,
-		EncryptKey:      opts.EncryptKey,
-	})
-	if err != nil {
-		return core.FileInfo{}, err
-	}
-	var info core.FileInfo
-	if err := json.Unmarshal(payload, &info); err != nil {
-		return core.FileInfo{}, err
-	}
-	return info, nil
+	return c.UploadFrom(client, password, filename, bytes.NewReader(data), pl, opts)
 }
 
 // GetChunk fetches one chunk by (filename, serial).
 func (c *Client) GetChunk(client, password, filename string, serial int) ([]byte, error) {
-	return c.postIdempotent("/v1/get_chunk", chunkReq{Client: client, Password: password, Filename: filename, Serial: serial})
+	return c.read("/v1/get_chunk", client, password, filename, serialQuery(serial))
 }
 
 // GetFile fetches a whole file.
 func (c *Client) GetFile(client, password, filename string) ([]byte, error) {
-	return c.postIdempotent("/v1/get_file", fileReq{Client: client, Password: password, Filename: filename})
+	return c.read("/v1/get_file", client, password, filename, nil)
 }
 
 // GetSnapshot fetches a chunk's pre-modification state.
 func (c *Client) GetSnapshot(client, password, filename string, serial int) ([]byte, error) {
-	return c.postIdempotent("/v1/get_snapshot", chunkReq{Client: client, Password: password, Filename: filename, Serial: serial})
+	return c.read("/v1/get_snapshot", client, password, filename, serialQuery(serial))
 }
 
 // UpdateChunk replaces a chunk's contents.
 func (c *Client) UpdateChunk(client, password, filename string, serial int, data []byte) error {
-	_, err := c.post("/v1/update_chunk", chunkReq{Client: client, Password: password, Filename: filename, Serial: serial, Data: data})
-	return err
+	return c.mutate("/v1/update_chunk", client, password, filename, serialQuery(serial), bytes.NewReader(data))
 }
 
 // RemoveChunk deletes one chunk.
 func (c *Client) RemoveChunk(client, password, filename string, serial int) error {
-	_, err := c.post("/v1/remove_chunk", chunkReq{Client: client, Password: password, Filename: filename, Serial: serial})
-	return err
+	return c.mutate("/v1/remove_chunk", client, password, filename, serialQuery(serial), nil)
 }
 
 // RemoveFile deletes a file.
 func (c *Client) RemoveFile(client, password, filename string) error {
-	_, err := c.post("/v1/remove_file", fileReq{Client: client, Password: password, Filename: filename})
-	return err
+	return c.mutate("/v1/remove_file", client, password, filename, nil, nil)
 }
 
 // GetRange fetches a byte range of a file.
 func (c *Client) GetRange(client, password, filename string, offset, length int) ([]byte, error) {
-	return c.postIdempotent("/v1/get_range", rangeReq{Client: client, Password: password, Filename: filename, Offset: offset, Length: length})
+	return c.read("/v1/get_range", client, password, filename, url.Values{
+		"offset": {strconv.Itoa(offset)}, "length": {strconv.Itoa(length)},
+	})
 }
 
 // Scrub triggers a distributor-wide integrity pass.
@@ -303,7 +286,7 @@ func (c *Client) Decommission(providerIndex int) (core.DecommissionReport, error
 
 // ChunkCount asks how many chunks a file has.
 func (c *Client) ChunkCount(client, password, filename string) (int, error) {
-	payload, err := c.postIdempotent("/v1/chunk_count", fileReq{Client: client, Password: password, Filename: filename})
+	payload, err := c.read("/v1/chunk_count", client, password, filename, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -3,11 +3,14 @@ package transport
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/privacy"
-	"repro/internal/raid"
 )
 
 // DistributorServer exposes a Cloud Data Distributor over HTTP — the
@@ -21,25 +24,38 @@ type DistributorServer struct {
 	lagSource func() []core.ReplicaLag
 }
 
+// fileRoutes is the per-file data surface. Every route addresses one
+// ⟨client, filename⟩ through its query string and carries blobs as raw
+// octets (see stream.go), so a ShardProxy routes all of them with one
+// forwarder and never parses a body.
+var fileRoutes = []struct {
+	pattern string
+	serve   func(*DistributorServer, http.ResponseWriter, *http.Request)
+}{
+	{"POST /v1/upload", (*DistributorServer).upload},
+	{"GET /v1/get_file", (*DistributorServer).getFile},
+	{"GET /v1/stream/file", (*DistributorServer).streamFile},
+	{"GET /v1/get_range", (*DistributorServer).getRange},
+	{"GET /v1/get_chunk", (*DistributorServer).getChunk},
+	{"GET /v1/get_snapshot", (*DistributorServer).getSnapshot},
+	{"GET /v1/chunk_count", (*DistributorServer).chunkCount},
+	{"POST /v1/update_chunk", (*DistributorServer).updateChunk},
+	{"POST /v1/remove_chunk", (*DistributorServer).removeChunk},
+	{"POST /v1/remove_file", (*DistributorServer).removeFile},
+}
+
 // NewDistributorServer wraps a distributor.
 func NewDistributorServer(d *core.Distributor) *DistributorServer {
 	s := &DistributorServer{d: d, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/clients", s.registerClient)
 	s.mux.HandleFunc("POST /v1/passwords", s.addPassword)
-	s.mux.HandleFunc("POST /v1/upload", s.upload)
-	s.mux.HandleFunc("POST /v1/get_chunk", s.getChunk)
-	s.mux.HandleFunc("POST /v1/get_file", s.getFile)
-	s.mux.HandleFunc("POST /v1/get_snapshot", s.getSnapshot)
-	s.mux.HandleFunc("POST /v1/update_chunk", s.updateChunk)
-	s.mux.HandleFunc("POST /v1/remove_chunk", s.removeChunk)
-	s.mux.HandleFunc("POST /v1/remove_file", s.removeFile)
-	s.mux.HandleFunc("POST /v1/chunk_count", s.chunkCount)
+	for _, rt := range fileRoutes {
+		serve := rt.serve
+		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { serve(s, w, r) })
+	}
 	s.mux.HandleFunc("GET /v1/tables/providers", s.providerTable)
 	s.mux.HandleFunc("GET /v1/tables/clients", s.clientTable)
 	s.mux.HandleFunc("GET /v1/tables/chunks", s.chunkTable)
-	s.mux.HandleFunc("POST /v1/get_range", s.getRange)
-	s.mux.HandleFunc("POST /v1/stream/upload", s.streamUpload)
-	s.mux.HandleFunc("GET /v1/stream/file", s.streamFile)
 	s.mux.HandleFunc("POST /v1/admin/scrub", s.scrub)
 	s.mux.HandleFunc("POST /v1/admin/decommission", s.decommission)
 	s.mux.HandleFunc("GET /v1/stats", s.stats)
@@ -76,16 +92,36 @@ func coreStatus(err error) int {
 	}
 }
 
+// maxControlBody caps a JSON control-plane request body; the largest
+// legitimate one is a client name and a password.
+const maxControlBody = 64 << 10
+
+// maxBlobBody caps every request body the server buffers: an
+// update_chunk payload and an upload's decoy block. It is a variable
+// (normally maxBlobBytes) only so tests can lower it.
+var maxBlobBody int64 = maxBlobBytes
+
+// bodyError answers a request whose body could not be read: 413 when
+// it ran past its cap, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+}
+
 func decode[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
 	var v T
-	if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(&v); err != nil {
+		bodyError(w, err)
 		return v, false
 	}
 	return v, true
 }
 
-// Wire DTOs. Data travels base64-encoded via encoding/json's []byte rule.
+// Control-plane DTOs. No blob travels in JSON.
 
 type clientReq struct {
 	Name string `json:"name"`
@@ -97,34 +133,63 @@ type passwordReq struct {
 	PL       int    `json:"pl"`
 }
 
-type uploadReq struct {
-	Client          string  `json:"client"`
-	Password        string  `json:"password"`
-	Filename        string  `json:"filename"`
-	PL              int     `json:"pl"`
-	Data            []byte  `json:"data"`
-	Assurance       int     `json:"assurance,omitempty"`
-	NoParity        bool    `json:"noParity,omitempty"`
-	MisleadFraction float64 `json:"misleadFraction,omitempty"`
-	// MisleadLines are whole decoy records to blend into the chunks
-	// (core.UploadOptions.MisleadLines); []byte marshals as base64.
-	MisleadLines [][]byte `json:"misleadLines,omitempty"`
-	Replicas     int      `json:"replicas,omitempty"`
-	EncryptKey   []byte   `json:"encryptKey,omitempty"`
+// fileArgs is one per-file request's addressing: client and filename
+// from the query, the password from the X-Password header, and the
+// route's integer parameters in the order the handler asked for them.
+type fileArgs struct {
+	client, password, filename string
+	n                          []int
+	q                          url.Values
 }
 
-type chunkReq struct {
-	Client   string `json:"client"`
-	Password string `json:"password"`
-	Filename string `json:"filename"`
-	Serial   int    `json:"serial"`
-	Data     []byte `json:"data,omitempty"` // update_chunk only
+// parseFileArgs reads a per-file request's addressing plus the named
+// integer query parameters. On failure it has already answered 400.
+func parseFileArgs(w http.ResponseWriter, r *http.Request, ints ...string) (fileArgs, bool) {
+	password, err := headerB64(r, headerPassword)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return fileArgs{}, false
+	}
+	q := r.URL.Query()
+	a := fileArgs{client: q.Get("client"), password: string(password), filename: q.Get("filename"), q: q}
+	for _, name := range ints {
+		n, err := strconv.Atoi(q.Get(name))
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad %s: %v", name, err), http.StatusBadRequest)
+			return fileArgs{}, false
+		}
+		a.n = append(a.n, n)
+	}
+	return a, true
 }
 
-type fileReq struct {
-	Client   string `json:"client"`
-	Password string `json:"password"`
-	Filename string `json:"filename"`
+// writeBlob answers a read with its raw bytes, or with err's status.
+func writeBlob(w http.ResponseWriter, data []byte, err error) {
+	if err != nil {
+		http.Error(w, err.Error(), coreStatus(err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	_, _ = w.Write(data)
+}
+
+// writeResult answers with v as JSON, or with err's status.
+func writeResult(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		http.Error(w, err.Error(), coreStatus(err))
+		return
+	}
+	writeJSON(w, v)
+}
+
+// writeDone answers a mutation with 204, or with err's status.
+func writeDone(w http.ResponseWriter, err error) {
+	if err != nil {
+		http.Error(w, err.Error(), coreStatus(err))
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *DistributorServer) registerClient(w http.ResponseWriter, r *http.Request) {
@@ -132,11 +197,7 @@ func (s *DistributorServer) registerClient(w http.ResponseWriter, r *http.Reques
 	if !ok {
 		return
 	}
-	if err := s.d.RegisterClient(req.Name); err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	writeDone(w, s.d.RegisterClient(req.Name))
 }
 
 func (s *DistributorServer) addPassword(w http.ResponseWriter, r *http.Request) {
@@ -144,153 +205,74 @@ func (s *DistributorServer) addPassword(w http.ResponseWriter, r *http.Request) 
 	if !ok {
 		return
 	}
-	if err := s.d.AddPassword(req.Client, req.Password, privacy.Level(req.PL)); err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *DistributorServer) upload(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[uploadReq](w, r)
-	if !ok {
-		return
-	}
-	info, err := s.d.Upload(req.Client, req.Password, req.Filename, req.Data, privacy.Level(req.PL), core.UploadOptions{
-		Assurance:       raid.Level(req.Assurance),
-		NoParity:        req.NoParity,
-		MisleadFraction: req.MisleadFraction,
-		MisleadLines:    req.MisleadLines,
-		Replicas:        req.Replicas,
-		EncryptKey:      req.EncryptKey,
-	})
-	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	writeJSON(w, info)
+	writeDone(w, s.d.AddPassword(req.Client, req.Password, privacy.Level(req.PL)))
 }
 
 func (s *DistributorServer) getChunk(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[chunkReq](w, r)
-	if !ok {
-		return
+	if a, ok := parseFileArgs(w, r, "serial"); ok {
+		data, err := s.d.GetChunk(a.client, a.password, a.filename, a.n[0])
+		writeBlob(w, data, err)
 	}
-	data, err := s.d.GetChunk(req.Client, req.Password, req.Filename, req.Serial)
-	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
 }
 
 func (s *DistributorServer) getFile(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[fileReq](w, r)
-	if !ok {
-		return
+	if a, ok := parseFileArgs(w, r); ok {
+		data, err := s.d.GetFile(a.client, a.password, a.filename)
+		writeBlob(w, data, err)
 	}
-	data, err := s.d.GetFile(req.Client, req.Password, req.Filename)
-	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
 }
 
 func (s *DistributorServer) getSnapshot(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[chunkReq](w, r)
-	if !ok {
-		return
+	if a, ok := parseFileArgs(w, r, "serial"); ok {
+		data, err := s.d.GetSnapshot(a.client, a.password, a.filename, a.n[0])
+		writeBlob(w, data, err)
 	}
-	data, err := s.d.GetSnapshot(req.Client, req.Password, req.Filename, req.Serial)
-	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
-func (s *DistributorServer) updateChunk(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[chunkReq](w, r)
-	if !ok {
-		return
-	}
-	if err := s.d.UpdateChunk(req.Client, req.Password, req.Filename, req.Serial, req.Data, core.UploadOptions{}); err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *DistributorServer) removeChunk(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[chunkReq](w, r)
-	if !ok {
-		return
-	}
-	if err := s.d.RemoveChunk(req.Client, req.Password, req.Filename, req.Serial); err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *DistributorServer) removeFile(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[fileReq](w, r)
-	if !ok {
-		return
-	}
-	if err := s.d.RemoveFile(req.Client, req.Password, req.Filename); err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *DistributorServer) chunkCount(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[fileReq](w, r)
-	if !ok {
-		return
-	}
-	n, err := s.d.ChunkCount(req.Client, req.Password, req.Filename)
-	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	writeJSON(w, map[string]int{"chunks": n})
-}
-
-type rangeReq struct {
-	Client   string `json:"client"`
-	Password string `json:"password"`
-	Filename string `json:"filename"`
-	Offset   int    `json:"offset"`
-	Length   int    `json:"length"`
 }
 
 func (s *DistributorServer) getRange(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[rangeReq](w, r)
+	if a, ok := parseFileArgs(w, r, "offset", "length"); ok {
+		data, err := s.d.GetRange(a.client, a.password, a.filename, a.n[0], a.n[1])
+		writeBlob(w, data, err)
+	}
+}
+
+// updateChunk is POST /v1/update_chunk: the request body is the new
+// chunk, buffered up to maxBlobBody.
+func (s *DistributorServer) updateChunk(w http.ResponseWriter, r *http.Request) {
+	a, ok := parseFileArgs(w, r, "serial")
 	if !ok {
 		return
 	}
-	data, err := s.d.GetRange(req.Client, req.Password, req.Filename, req.Offset, req.Length)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBlobBody))
 	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
+		bodyError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
+	writeDone(w, s.d.UpdateChunk(a.client, a.password, a.filename, a.n[0], data, core.UploadOptions{}))
+}
+
+func (s *DistributorServer) removeChunk(w http.ResponseWriter, r *http.Request) {
+	if a, ok := parseFileArgs(w, r, "serial"); ok {
+		writeDone(w, s.d.RemoveChunk(a.client, a.password, a.filename, a.n[0]))
+	}
+}
+
+func (s *DistributorServer) removeFile(w http.ResponseWriter, r *http.Request) {
+	if a, ok := parseFileArgs(w, r); ok {
+		writeDone(w, s.d.RemoveFile(a.client, a.password, a.filename))
+	}
+}
+
+func (s *DistributorServer) chunkCount(w http.ResponseWriter, r *http.Request) {
+	if a, ok := parseFileArgs(w, r); ok {
+		n, err := s.d.ChunkCount(a.client, a.password, a.filename)
+		writeResult(w, map[string]int{"chunks": n}, err)
+	}
 }
 
 func (s *DistributorServer) scrub(w http.ResponseWriter, _ *http.Request) {
 	rep, err := s.d.Scrub()
-	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	writeJSON(w, rep)
+	writeResult(w, rep, err)
 }
 
 type decommissionReq struct {
@@ -303,11 +285,7 @@ func (s *DistributorServer) decommission(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	rep, err := s.d.Decommission(req.ProviderIndex)
-	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	writeJSON(w, rep)
+	writeResult(w, rep, err)
 }
 
 func (s *DistributorServer) providerTable(w http.ResponseWriter, _ *http.Request) {

@@ -1,5 +1,5 @@
 // Package transport puts the paper's architecture on the network: cloud
-// providers and the Cloud Data Distributor become HTTP/JSON services, so
+// providers and the Cloud Data Distributor become HTTP services, so
 // the system runs as real client/server processes the way the paper's
 // prototype did ("We have used PCs ... as Cloud Providers. Again we have
 // used PCs ... as Cloud Data Distributor").

@@ -5,46 +5,39 @@ import (
 	"net/http"
 
 	"repro/internal/privacy"
-	"repro/internal/raid"
 )
 
 // ShardProxy serves the DistributorServer wire surface in front of a
 // sharded System: clients keep speaking the single-distributor protocol
-// while every data operation is routed to the shard owning its
-// ⟨client, filename⟩ key. This is the deployment shape for clients that
-// cannot embed the router; anything that can should use System directly
-// and skip the extra hop. Account operations fan out, aggregate
-// endpoints merge across shards, and the streaming endpoints forward
-// raw bodies end-to-end so the proxy never materializes a large object.
+// while every per-file route is forwarded verbatim to the shard owning
+// its ⟨client, filename⟩ key. This is the deployment shape for clients
+// that cannot embed the router; anything that can should use System
+// directly and skip the extra hop. Account operations fan out and
+// aggregate endpoints merge across shards; blobs are never parsed or
+// held, only streamed through.
 type ShardProxy struct {
 	sys *System
 	mux *http.ServeMux
-	// streamHTTP has no overall timeout: large-object streams are
-	// legitimately long-lived. Connection reuse still comes from the
-	// shared pooled transport.
-	streamHTTP *http.Client
+	// fwd carries forwarded requests over the System's transport with no
+	// overall timeout: large-object streams are legitimately long-lived,
+	// and the downstream request's context still bounds each one.
+	fwd   *http.Client
+	retry *retrier
 }
 
 // NewShardProxy builds the proxy handler over a sharded system.
 func NewShardProxy(sys *System) *ShardProxy {
 	p := &ShardProxy{
-		sys:        sys,
-		mux:        http.NewServeMux(),
-		streamHTTP: &http.Client{Transport: sharedTransport},
+		sys:   sys,
+		mux:   http.NewServeMux(),
+		fwd:   &http.Client{Transport: sys.shards[0].http.Transport},
+		retry: newRetrier(),
 	}
 	p.mux.HandleFunc("POST /v1/clients", p.registerClient)
 	p.mux.HandleFunc("POST /v1/passwords", p.addPassword)
-	p.mux.HandleFunc("POST /v1/upload", p.upload)
-	p.mux.HandleFunc("POST /v1/get_chunk", p.getChunk)
-	p.mux.HandleFunc("POST /v1/get_file", p.getFile)
-	p.mux.HandleFunc("POST /v1/get_snapshot", p.getSnapshot)
-	p.mux.HandleFunc("POST /v1/update_chunk", p.updateChunk)
-	p.mux.HandleFunc("POST /v1/remove_chunk", p.removeChunk)
-	p.mux.HandleFunc("POST /v1/remove_file", p.removeFile)
-	p.mux.HandleFunc("POST /v1/chunk_count", p.chunkCount)
-	p.mux.HandleFunc("POST /v1/get_range", p.getRange)
-	p.mux.HandleFunc("POST /v1/stream/upload", p.forwardStream)
-	p.mux.HandleFunc("GET /v1/stream/file", p.forwardStream)
+	for _, rt := range fileRoutes {
+		p.mux.HandleFunc(rt.pattern, p.forward)
+	}
 	p.mux.HandleFunc("POST /v1/admin/scrub", p.scrub)
 	p.mux.HandleFunc("GET /v1/stats", p.stats)
 	p.mux.HandleFunc("GET /v1/health", p.health)
@@ -57,22 +50,12 @@ func (p *ShardProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.mux.ServeHTTP(w, r)
 }
 
-// proxyErr maps an error from the downstream shard (already a core
-// error, reconstructed by the shard's Client) back onto the wire.
-func proxyErr(w http.ResponseWriter, err error) {
-	http.Error(w, err.Error(), coreStatus(err))
-}
-
 func (p *ShardProxy) registerClient(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[clientReq](w, r)
 	if !ok {
 		return
 	}
-	if err := p.sys.RegisterClient(req.Name); err != nil {
-		proxyErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	writeDone(w, p.sys.RegisterClient(req.Name))
 }
 
 func (p *ShardProxy) addPassword(w http.ResponseWriter, r *http.Request) {
@@ -80,154 +63,17 @@ func (p *ShardProxy) addPassword(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := p.sys.AddPassword(req.Client, req.Password, privacy.Level(req.PL)); err != nil {
-		proxyErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (p *ShardProxy) upload(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[uploadReq](w, r)
-	if !ok {
-		return
-	}
-	info, err := p.sys.Upload(req.Client, req.Password, req.Filename, req.Data, privacy.Level(req.PL), UploadOptions{
-		Assurance:       raid.Level(req.Assurance),
-		NoParity:        req.NoParity,
-		MisleadFraction: req.MisleadFraction,
-		MisleadLines:    req.MisleadLines,
-		Replicas:        req.Replicas,
-		EncryptKey:      req.EncryptKey,
-	})
-	if err != nil {
-		proxyErr(w, err)
-		return
-	}
-	writeJSON(w, info)
-}
-
-func (p *ShardProxy) getChunk(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[chunkReq](w, r)
-	if !ok {
-		return
-	}
-	data, err := p.sys.GetChunk(req.Client, req.Password, req.Filename, req.Serial)
-	if err != nil {
-		proxyErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
-func (p *ShardProxy) getFile(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[fileReq](w, r)
-	if !ok {
-		return
-	}
-	data, err := p.sys.GetFile(req.Client, req.Password, req.Filename)
-	if err != nil {
-		proxyErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
-func (p *ShardProxy) getSnapshot(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[chunkReq](w, r)
-	if !ok {
-		return
-	}
-	data, err := p.sys.GetSnapshot(req.Client, req.Password, req.Filename, req.Serial)
-	if err != nil {
-		proxyErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
-func (p *ShardProxy) updateChunk(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[chunkReq](w, r)
-	if !ok {
-		return
-	}
-	if err := p.sys.UpdateChunk(req.Client, req.Password, req.Filename, req.Serial, req.Data); err != nil {
-		proxyErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (p *ShardProxy) removeChunk(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[chunkReq](w, r)
-	if !ok {
-		return
-	}
-	if err := p.sys.RemoveChunk(req.Client, req.Password, req.Filename, req.Serial); err != nil {
-		proxyErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (p *ShardProxy) removeFile(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[fileReq](w, r)
-	if !ok {
-		return
-	}
-	if err := p.sys.RemoveFile(req.Client, req.Password, req.Filename); err != nil {
-		proxyErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (p *ShardProxy) chunkCount(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[fileReq](w, r)
-	if !ok {
-		return
-	}
-	n, err := p.sys.ChunkCount(req.Client, req.Password, req.Filename)
-	if err != nil {
-		proxyErr(w, err)
-		return
-	}
-	writeJSON(w, map[string]int{"chunks": n})
-}
-
-func (p *ShardProxy) getRange(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[rangeReq](w, r)
-	if !ok {
-		return
-	}
-	data, err := p.sys.GetRange(req.Client, req.Password, req.Filename, req.Offset, req.Length)
-	if err != nil {
-		proxyErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
+	writeDone(w, p.sys.AddPassword(req.Client, req.Password, privacy.Level(req.PL)))
 }
 
 func (p *ShardProxy) scrub(w http.ResponseWriter, _ *http.Request) {
 	rep, err := p.sys.Scrub()
-	if err != nil {
-		proxyErr(w, err)
-		return
-	}
-	writeJSON(w, rep)
+	writeResult(w, rep, err)
 }
 
 func (p *ShardProxy) stats(w http.ResponseWriter, _ *http.Request) {
 	st, err := p.sys.Stats()
-	if err != nil {
-		proxyErr(w, err)
-		return
-	}
-	writeJSON(w, st)
+	writeResult(w, st, err)
 }
 
 // health merges every shard's health: overall status degrades if any
@@ -255,44 +101,54 @@ func (p *ShardProxy) health(w http.ResponseWriter, _ *http.Request) {
 func (p *ShardProxy) locate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	loc, err := p.sys.Locate(q.Get("client"), q.Get("filename"))
-	if err != nil {
-		proxyErr(w, err)
-		return
-	}
-	writeJSON(w, loc)
+	writeResult(w, loc, err)
 }
 
-// forwardStream relays a streaming request verbatim to the owning
-// shard: same path, query and auth headers, with both bodies streamed —
-// the proxy holds one transfer buffer, never the object. A mid-body
-// upstream failure aborts the downstream connection (chunked encoding's
-// implicit end marker is how truncation stays detectable end-to-end).
-func (p *ShardProxy) forwardStream(w http.ResponseWriter, r *http.Request) {
+// forward relays a per-file request verbatim to the shard owning its
+// ⟨client, filename⟩: same method, path, query and blobHeaders, with
+// both bodies streamed, so the proxy holds one transfer buffer, never
+// a blob. A GET whose upstream round trip fails before any response is
+// retried with backoff — nothing has reached the client and a read
+// replays safely; a mutation goes upstream exactly once, since a
+// request that died on the wire may still have been applied. A mid-body
+// upstream failure aborts the downstream connection, so truncation
+// stays detectable end to end (a short Content-Length body, or chunked
+// encoding's missing end marker).
+func (p *ShardProxy) forward(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	loc, err := p.sys.Locate(q.Get("client"), q.Get("filename"))
 	if err != nil {
-		proxyErr(w, err)
+		http.Error(w, err.Error(), coreStatus(err))
 		return
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method,
-		p.sys.urls[loc.Shard]+r.URL.Path+"?"+r.URL.RawQuery, r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	for _, h := range []string{headerPassword, headerEncryptKey, "Content-Type"} {
-		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
+	target := p.sys.urls[loc.Shard] + r.URL.Path + "?" + r.URL.RawQuery
+	var resp *http.Response
+	for attempt := 0; ; attempt++ {
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, target, r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
-	}
-	resp, err := p.streamHTTP.Do(req)
-	if err != nil {
-		http.Error(w, "shard proxy: "+err.Error(), http.StatusBadGateway)
-		return
+		req.ContentLength = r.ContentLength
+		for _, h := range blobHeaders {
+			if v := r.Header.Get(h); v != "" {
+				req.Header.Set(h, v)
+			}
+		}
+		if resp, err = p.fwd.Do(req); err == nil {
+			break
+		}
+		if r.Method != http.MethodGet || attempt >= netRetries-1 {
+			http.Error(w, "shard proxy: "+err.Error(), http.StatusBadGateway)
+			return
+		}
+		p.retry.sleep(p.retry.backoff(attempt))
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	for _, h := range []string{"Content-Type", "Content-Length"} {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
 	}
 	w.WriteHeader(resp.StatusCode)
 	if _, err := io.Copy(w, resp.Body); err != nil {

@@ -117,8 +117,7 @@ func TestStreamUploadOptionsSurviveWire(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("encrypted streamed upload: %v", err)
 	}
-	// A bad option must be rejected with the same error identity as the
-	// JSON endpoint.
+	// A bad option keeps its error identity across the wire.
 	if _, err := client.UploadFrom("bob", "pw", "bad.bin", bytes.NewReader(data), privacy.High, UploadOptions{MisleadFraction: 2}); !errors.Is(err, core.ErrConfig) {
 		t.Fatalf("bad option over the wire: %v", err)
 	}
@@ -148,9 +147,9 @@ func TestStreamErrorsSurviveWire(t *testing.T) {
 	}
 }
 
-// TestStreamBypassesResponseCap pins the satellite contract: the
-// metadata/whole-buffer endpoints stay capped at maxRespRead, while the
-// chunked file stream carries bodies of any size.
+// TestStreamBypassesResponseCap pins the response caps: buffered
+// responses stay capped at maxRespRead, while the chunked file stream
+// carries bodies of any size.
 func TestStreamBypassesResponseCap(t *testing.T) {
 	defer func(old int64) { maxRespRead = old }(maxRespRead)
 	maxRespRead = 64 << 10
@@ -168,7 +167,7 @@ func TestStreamBypassesResponseCap(t *testing.T) {
 	if _, err := client.UploadFrom("bob", "pw", "big.bin", bytes.NewReader(data), privacy.Moderate, UploadOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// The buffered JSON path refuses the oversize body…
+	// The buffered read refuses the oversize body…
 	if _, err := client.GetFile("bob", "pw", "big.bin"); !errors.Is(err, ErrOversizeResponse) {
 		t.Fatalf("buffered GetFile past the cap: %v", err)
 	}

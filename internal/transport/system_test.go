@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -164,9 +165,9 @@ func TestSystemLocateIsStable(t *testing.T) {
 }
 
 // TestShardProxyServesSingleDistributorProtocol drives the proxy with a
-// plain Client: the whole single-distributor wire surface — JSON ops,
-// streaming, stats, scrub, health — must work unchanged against a
-// sharded backend.
+// plain Client: the whole single-distributor wire surface — every
+// per-file route, upload options, stats, scrub, health — must work
+// unchanged against a sharded backend.
 func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 	sys, _ := shardFixture(t, 3, 4)
 	proxy := httptest.NewServer(NewShardProxy(sys))
@@ -225,6 +226,43 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 	if err != nil || len(chunk) == 0 {
 		t.Fatalf("get_chunk via proxy: %v", err)
 	}
+	span, err := cl.GetRange("bob", "pw", "px-01.bin", 100, 300)
+	if err != nil || !bytes.Equal(span, files["px-01.bin"][100:400]) {
+		t.Fatalf("get_range via proxy: %d bytes, %v", len(span), err)
+	}
+	patched := bytes.Repeat([]byte("u"), len(chunk))
+	if err := cl.UpdateChunk("bob", "pw", "px-00.bin", 0, patched); err != nil {
+		t.Fatalf("update_chunk via proxy: %v", err)
+	}
+	if got, err := cl.GetChunk("bob", "pw", "px-00.bin", 0); err != nil || !bytes.Equal(got, patched) {
+		t.Fatalf("chunk after update via proxy: %v", err)
+	}
+	if snap, err := cl.GetSnapshot("bob", "pw", "px-00.bin", 0); err != nil || !bytes.Equal(snap, chunk) {
+		t.Fatalf("get_snapshot via proxy: %v", err)
+	}
+	if err := cl.RemoveChunk("bob", "pw", "px-02.bin", 0); err != nil {
+		t.Fatalf("remove_chunk via proxy: %v", err)
+	}
+	if _, err := cl.GetChunk("bob", "pw", "px-02.bin", 0); !errors.Is(err, core.ErrNoSuchChunk) {
+		t.Fatalf("removed chunk via proxy: %v", err)
+	}
+
+	// Upload options ride the forwarded headers and body.
+	key := bytes.Repeat([]byte{7}, 32)
+	if _, err := cl.Upload("bob", "pw", "enc.bin", big[:5000], privacy.High, UploadOptions{EncryptKey: key}); err != nil {
+		t.Fatalf("encrypted upload via proxy: %v", err)
+	}
+	if got, err := cl.GetFile("bob", "pw", "enc.bin"); err != nil || !bytes.Equal(got, big[:5000]) {
+		t.Fatalf("encrypted file via proxy: %v", err)
+	}
+	text := []byte("a,1\nb,2\nc,3\n")
+	if _, err := cl.Upload("bob", "pw", "decoy.csv", text, privacy.High, UploadOptions{MisleadLines: [][]byte{[]byte("z,9")}}); err != nil {
+		t.Fatalf("decoy upload via proxy: %v", err)
+	}
+	if got, err := cl.GetFile("bob", "pw", "decoy.csv"); err != nil || !bytes.Equal(got, text) {
+		t.Fatalf("decoy file via proxy: %q, %v", got, err)
+	}
+
 	if err := cl.RemoveFile("bob", "pw", "px-11.bin"); err != nil {
 		t.Fatalf("remove via proxy: %v", err)
 	}
@@ -236,8 +274,8 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Files != 12 { // 12 small + stream - removed
-		t.Fatalf("stats via proxy: Files = %d, want 12", st.Files)
+	if st.Files != 14 { // 12 small + stream + enc + decoy - removed
+		t.Fatalf("stats via proxy: Files = %d, want 14", st.Files)
 	}
 	if _, err := cl.Scrub(); err != nil {
 		t.Fatalf("scrub via proxy: %v", err)
